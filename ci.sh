@@ -64,7 +64,9 @@ faults_stage() {
 # probes, telemetry equivalence, and frame-codec fuzzing), and the
 # `tempograph` binary must drive a 2-process localhost cluster end-to-end —
 # plain and with observability armed (worker telemetry shards merged into
-# the coordinator registry). Skips loudly when loopback
+# the coordinator registry) — and fail an injected worker death alike on
+# all three transports (exit code 1 naming the dead partition, never a
+# panic's 101). Skips loudly when loopback
 # sockets are unavailable in the sandbox (the tests print a NOTICE and
 # pass; the CLI smoke is guarded the same way).
 transport_stage() {
@@ -98,6 +100,28 @@ transport_stage() {
         echo "    NOTICE: tcp-process CLI run failed (loopback sockets" \
              "unavailable in this sandbox?); skipping smoke"
     fi
+
+    echo "==> transport: failure smoke (an injected death without checkpointing exits 1 on every transport)"
+    "$tg" generate --out "$work/road" --preset carn --scale 0.3 \
+        --workload road --timesteps 6 --partitions 2 >/dev/null
+    local tr code
+    for tr in inprocess tcp tcp-process; do
+        code=0
+        "$tg" run --algo tdsp --data "$work/road" --transport "$tr" \
+            --faults 'panic@p1:t2:s0' >/dev/null 2>"$work/fail-$tr.txt" || code=$?
+        [[ "$code" -eq 1 ]] \
+            || { cat "$work/fail-$tr.txt" >&2; echo "FAIL: $tr run with a worker death exited $code, want 1" >&2; exit 1; }
+        if grep -q "^error: $tr job failed: remote worker for partition 1 died" "$work/fail-$tr.txt"; then
+            echo "    $tr: exit 1, primary death named"
+        elif [[ "$tr" == inprocess ]]; then
+            cat "$work/fail-$tr.txt" >&2
+            echo "FAIL: in-process run did not name the dead partition" >&2
+            exit 1
+        else
+            echo "    NOTICE: $tr run failed before the injected death (loopback" \
+                 "sockets unavailable in this sandbox?); exit code checked only"
+        fi
+    done
 
     echo "==> transport: 2-process telemetry smoke (worker shards merged at the coordinator)"
     "$tg" run --algo hash --data "$work/ds" --observe true \

@@ -116,6 +116,13 @@ pub enum EngineError {
         /// The underlying storage failure, stringified.
         detail: String,
     },
+    /// The job configuration cannot run: more timesteps than the source
+    /// stores, or temporal parallelism combined with a pattern, timestep
+    /// mode, checkpointing or cluster that needs the barriered loop.
+    Config {
+        /// What is wrong with the configuration.
+        detail: String,
+    },
 }
 
 impl fmt::Display for EngineError {
@@ -141,6 +148,7 @@ impl fmt::Display for EngineError {
             EngineError::Checkpoint { context, detail } => {
                 write!(f, "checkpoint failure {context}: {detail}")
             }
+            EngineError::Config { detail } => write!(f, "invalid job configuration: {detail}"),
         }
     }
 }
@@ -153,7 +161,8 @@ impl std::error::Error for EngineError {
             | EngineError::RemoteWorkerDied { .. }
             | EngineError::FrameLoss { .. }
             | EngineError::Protocol { .. }
-            | EngineError::Checkpoint { .. } => None,
+            | EngineError::Checkpoint { .. }
+            | EngineError::Config { .. } => None,
         }
     }
 }

@@ -29,15 +29,14 @@ use crate::checkpoint::{
     self, checkpoint_path, commit_manifest, CheckpointConfig, SubgraphCheckpoint, WorkerCheckpoint,
 };
 use crate::error::EngineError;
-use crate::faults::{injected_panic_message, payload_is_injected, FaultPlan};
+use crate::faults::{injected_panic_message, FaultPlan};
 use crate::metrics::{Emit, JobResult, MetricsShard, TimestepMetrics};
 use crate::program::{Context, Outbox, Phase, SubgraphProgram};
 use crate::provider::{InstanceProvider, InstanceSource};
-use crate::sync::{join_partition, Contribution, PoisonOnPanic, SyncPoint};
-use crate::transport::{BatchKind, InProcess, TelemetryFlush, Transport};
+use crate::sync::{join_partition, Contribution};
+use crate::transport::{run_job_tcp, BatchKind, Cluster, TelemetryFlush, Transport};
 use crate::wire::{sort_envelopes, Envelope};
 use bytes::{Buf, Bytes, BytesMut};
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 use tempograph_gofs::store::{tmp_sibling, write_atomic};
@@ -137,15 +136,15 @@ pub struct JobConfig<M> {
     pub attribution: bool,
     /// Superstep checkpointing (see [`crate::checkpoint`]). When set, every
     /// worker snapshots its recovery state at the configured timestep
-    /// interval, and an injected worker death makes [`run_job`] restart the
-    /// cluster from the latest committed checkpoint instead of failing.
+    /// interval, and an injected worker death makes the job driver restart
+    /// the cluster from the latest committed checkpoint instead of failing.
     pub checkpoint: Option<CheckpointConfig>,
     /// Deterministic fault injection (see [`crate::faults`]). Arc-shared so
     /// one-shot panic events stay latched across recovery attempts.
     pub faults: Option<Arc<FaultPlan>>,
     /// TCP-mode live introspection: when set, [`crate::run_job_tcp`]'s
     /// coordinator serves the status board (`tempograph status`) on this
-    /// address for the life of the job. Ignored by the in-process driver.
+    /// address for the life of the job. Ignored by [`Cluster::InProcess`].
     pub status_addr: Option<String>,
     /// Straggler threshold: a worker whose per-timestep barrier wait
     /// exceeds this multiple of the round's median wait earns a
@@ -385,21 +384,19 @@ pub(crate) struct WorkerOutput {
     pub(crate) attr_rows: Vec<crate::metrics::AttributionRow>,
 }
 
-/// True when a panic payload is a *cascade* failure — a worker that died
-/// only because a peer died first (poisoned barrier or closed channel).
-/// The recovery loop prefers the primary panic when re-surfacing errors.
-fn payload_is_cascade(payload: &(dyn std::any::Any + Send)) -> bool {
-    let msg = payload
-        .downcast_ref::<String>()
-        .map(String::as_str)
-        .or_else(|| payload.downcast_ref::<&'static str>().copied());
-    msg.is_some_and(|m| m.contains("a peer worker died"))
-}
-
-/// Run a TI-BSP job and gather its results and metrics.
+/// Run a TI-BSP job on the in-process cluster and gather its results and
+/// metrics: [`run_job_tcp`] over [`Cluster::InProcess`], kept as the entry
+/// point for callers (tests, benches, examples) that treat a failed job as
+/// a bug.
 ///
 /// `factory` builds one program instance per subgraph; program state
 /// persists across supersteps and timesteps.
+///
+/// # Panics
+///
+/// When the job fails — an invalid configuration, a worker's typed error,
+/// or a worker death with no recovery to spend — with the
+/// [`EngineError`]'s message.
 pub fn run_job<P, F>(
     pg: &Arc<PartitionedGraph>,
     source: &InstanceSource,
@@ -410,181 +407,52 @@ where
     P: SubgraphProgram,
     F: Fn(&tempograph_partition::Subgraph, &PartitionedGraph) -> P + Send + Sync,
 {
-    let k = pg.num_partitions();
-    let timesteps = effective_timesteps(&config, source.num_timesteps());
-
-    let job_start = Clock::start();
-    // Driver-side sink (its own track, after the k partition tracks) for
-    // recovery markers.
-    let mut driver_sink = config.trace.map(|tc| tc.sink(k as u32));
-    // Each recovery consumes at least one one-shot panic event, so the
-    // plan's panic count bounds the attempts a recoverable job can need;
-    // anything beyond that is a real bug re-triggering deterministically.
-    let max_recoveries = config.faults.as_ref().map_or(0, |f| f.panic_events());
-    let mut recoveries = 0usize;
-    let mut resume_from: Option<u64> = None;
-
-    let mut outputs: Vec<WorkerOutput> = loop {
-        let sync = SyncPoint::new(k);
-        let mut txs: Vec<Sender<(BatchKind, Bytes)>> = Vec::with_capacity(k);
-        let mut rxs: Vec<Option<Receiver<(BatchKind, Bytes)>>> = Vec::with_capacity(k);
-        for _ in 0..k {
-            let (tx, rx) = unbounded();
-            txs.push(tx);
-            rxs.push(Some(rx));
-        }
-
-        type WorkerResult = Result<WorkerOutput, EngineError>;
-        let results: Vec<std::thread::Result<WorkerResult>> = std::thread::scope(|scope| {
-            let mut handles = Vec::with_capacity(k);
-            for (p, rx_slot) in rxs.iter_mut().enumerate() {
-                let rx = rx_slot.take().expect("receiver unclaimed");
-                let txs = txs.clone();
-                let sync = &sync;
-                let factory = &factory;
-                let config = config.clone();
-                let source = source.clone();
-                handles.push(scope.spawn(move || {
-                    // If this worker dies, poison the barrier so peers fail
-                    // fast (as cascades) instead of deadlocking.
-                    let _poison = PoisonOnPanic(sync);
-                    let mut transport = InProcess::new(p as u16, rx, txs, sync);
-                    let out = run_worker_body::<P, F>(
-                        p as u16,
-                        pg,
-                        &source,
-                        factory,
-                        &config,
-                        timesteps,
-                        resume_from,
-                        &mut transport,
-                    );
-                    if out.is_err() {
-                        // An error return unwinds no stack, so the RAII
-                        // guard won't fire — poison explicitly so peers
-                        // blocked at a barrier fail fast as cascades.
-                        sync.poison();
-                    }
-                    out
-                }));
-            }
-            handles.into_iter().map(|h| h.join()).collect()
-        });
-
-        if results.iter().all(|r| matches!(r, Ok(Ok(_)))) {
-            break results
-                .into_iter()
-                .map(|r| match r {
-                    Ok(Ok(o)) => o,
-                    _ => unreachable!("checked ok"),
-                })
-                .collect();
-        }
-
-        // A typed worker error (wire corruption) is deterministic: a restart
-        // would re-decode the same bytes and fail again, so surface it now,
-        // naming the partition.
-        if let Some((p, e)) = results.iter().enumerate().find_map(|(p, r)| match r {
-            Ok(Err(e)) => Some((p, e.clone())),
-            _ => None,
-        }) {
-            panic!("worker for partition {p} failed: {e}");
-        }
-
-        // Recover only from *injected* deaths with checkpointing armed: a
-        // real bug would deterministically re-trigger after restore, so
-        // re-surface it instead of looping.
-        let injected = results
-            .iter()
-            .any(|r| r.as_ref().err().is_some_and(|e| payload_is_injected(&**e)));
-        if config.checkpoint.is_none() || !injected || recoveries >= max_recoveries {
-            let (p, joined) = results
-                .into_iter()
-                .enumerate()
-                .filter(|(_, r)| r.is_err())
-                .min_by_key(|(p, r)| {
-                    let cascade = r.as_ref().err().is_some_and(|e| payload_is_cascade(&**e));
-                    (cascade, *p)
-                })
-                .expect("some worker failed");
-            let _ = join_partition(p, joined);
-            unreachable!("join_partition re-panics on Err");
-        }
-
-        recoveries += 1;
-        resume_from = config
-            .checkpoint
-            .as_ref()
-            .and_then(|ck| checkpoint::latest_valid::<P::Msg>(&ck.dir, k as u16));
-        if let Some(sink) = &mut driver_sink {
-            sink.instant(
-                "recovery.attempt",
-                Some(("resume_t", resume_from.unwrap_or(u64::MAX))),
-            );
-        }
-    };
-    let total_wall_ns = job_start.elapsed_ns();
-
-    let trace = config.trace.map(|_| {
-        let mut sinks: Vec<(String, TraceSink)> =
-            outputs.iter_mut().flat_map(|o| o.sinks.drain(..)).collect();
-        if let Some(sink) = driver_sink.take() {
-            if !sink.events().is_empty() {
-                sinks.push(("driver".to_string(), sink));
-            }
-        }
-        Trace::from_sinks(sinks)
-    });
-
-    assemble_job_result(
-        outputs,
-        k,
-        total_wall_ns,
-        recoveries,
-        trace,
-        config.metrics,
-        config.attribution,
-    )
+    run_job_tcp(pg, source, factory, config, Cluster::InProcess).unwrap_or_else(|e| panic!("{e}"))
 }
 
 /// Resolve the configured [`TimestepMode`] against the stored instance
 /// count and validate mode/pattern/checkpoint interactions. Shared by the
-/// in-process driver and the TCP coordinator/workers, so both reject the
-/// same misconfigurations and agree on the loop bound.
-pub(crate) fn effective_timesteps<M>(config: &JobConfig<M>, available: usize) -> usize {
+/// job driver and every TCP worker, so both reject the same
+/// misconfigurations and agree on the loop bound.
+pub(crate) fn effective_timesteps<M>(
+    config: &JobConfig<M>,
+    available: usize,
+) -> Result<usize, EngineError> {
+    let invalid = |detail: String| Err(EngineError::Config { detail });
     let timesteps = match config.mode {
-        TimestepMode::Fixed(n) => {
-            assert!(
-                n <= available,
+        TimestepMode::Fixed(n) if n > available => {
+            return invalid(format!(
                 "job wants {n} timesteps but source stores {available}"
-            );
-            n
+            ))
         }
+        TimestepMode::Fixed(n) => n,
         TimestepMode::WhileActive { max } => max.min(available),
     };
     if config.temporal_parallelism {
-        assert!(
-            config.pattern != Pattern::SequentiallyDependent,
-            "temporal parallelism cannot apply to sequentially dependent jobs"
-        );
-        assert!(
-            matches!(config.mode, TimestepMode::Fixed(_)),
-            "temporal parallelism requires a fixed timestep range"
-        );
+        if config.pattern == Pattern::SequentiallyDependent {
+            return invalid(
+                "temporal parallelism cannot apply to sequentially dependent jobs".into(),
+            );
+        }
+        if !matches!(config.mode, TimestepMode::Fixed(_)) {
+            return invalid("temporal parallelism requires a fixed timestep range".into());
+        }
+        if config.checkpoint.is_some() {
+            return invalid("checkpointing requires the barriered timestep loop".into());
+        }
     }
     if let Some(ck) = &config.checkpoint {
-        assert!(
-            !config.temporal_parallelism,
-            "checkpointing requires the barriered timestep loop"
-        );
-        std::fs::create_dir_all(&ck.dir).expect("create checkpoint directory");
+        std::fs::create_dir_all(&ck.dir).map_err(|e| EngineError::Checkpoint {
+            context: format!("creating checkpoint directory {}", ck.dir.display()),
+            detail: e.to_string(),
+        })?;
     }
-    timesteps
+    Ok(timesteps)
 }
 
 /// One worker's whole life over an already-connected transport: provider
 /// setup, program construction, optional checkpoint restore, then the
-/// TI-BSP run. Shared by the in-process driver (one call per scoped
+/// TI-BSP run. Shared by the in-process epoch (one call per scoped
 /// thread) and the TCP worker (one call per connected worker).
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn run_worker_body<P, F>(
@@ -619,9 +487,8 @@ where
     worker.run(start_t, timesteps, config)
 }
 
-/// Fold per-worker outputs into the global [`JobResult`]. Shared by the
-/// in-process driver and the TCP coordinator (which passes `trace: None` —
-/// trace sinks are process-local and do not cross the wire).
+/// Fold per-worker outputs into the global [`JobResult`]; called once, by
+/// the job driver, for every cluster.
 pub(crate) fn assemble_job_result(
     mut outputs: Vec<WorkerOutput>,
     k: usize,

@@ -11,7 +11,7 @@
 //! recovered job is byte-identical to an undisturbed one.
 //!
 //! Panic-style events carry a one-shot flag (shared across recovery
-//! attempts of one `run_job` call), so a worker that died at timestep `t`
+//! attempts of one job), so a worker that died at timestep `t`
 //! does not die again when re-executing `t` after restoring a checkpoint —
 //! mirroring a real transient host failure. Send-failure events are
 //! stateless: they model a retried transmission and re-fire identically on
@@ -20,8 +20,8 @@
 
 use std::sync::atomic::{AtomicBool, Ordering};
 
-/// Marker embedded in every injected panic's payload. The recovery loop in
-/// [`crate::run_job`] only catches worker deaths whose panic message
+/// Marker embedded in every injected panic's payload. The job driver
+/// ([`crate::run_job_tcp`]) only recovers worker deaths whose panic message
 /// contains this marker: a *real* bug would deterministically re-trigger
 /// after restore, so recovering from it would loop forever — those panics
 /// are re-surfaced to the caller instead.
@@ -45,15 +45,7 @@ pub(crate) fn injected_panic_message(partition: u16, timestep: usize, superstep:
 
 /// True when a worker thread's panic payload came from an injected fault.
 pub(crate) fn payload_is_injected(payload: &(dyn std::any::Any + Send)) -> bool {
-    payload
-        .downcast_ref::<String>()
-        .map(|s| s.contains(INJECTED_FAULT_MARKER))
-        .or_else(|| {
-            payload
-                .downcast_ref::<&'static str>()
-                .map(|s| s.contains(INJECTED_FAULT_MARKER))
-        })
-        .unwrap_or(false)
+    crate::sync::panic_message(payload).contains(INJECTED_FAULT_MARKER)
 }
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -252,7 +244,7 @@ impl FaultPlan {
     }
 
     /// Re-arm every one-shot event, so the same plan value can drive a
-    /// second independent `run_job` call.
+    /// second independent job.
     pub fn reset(&self) {
         for e in &self.events {
             // Release pairs with the AcqRel swap in `fire_once` (lint rule

@@ -8,6 +8,7 @@
 //! reports as "Sync Overhead" (Fig. 7b/7d).
 
 use parking_lot::{Condvar, Mutex};
+use std::any::Any;
 
 /// Per-worker contribution folded at the barrier.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
@@ -28,6 +29,21 @@ pub struct Aggregate {
 }
 
 impl Aggregate {
+    /// The fold's identity: nothing sent, everyone halted.
+    pub const EMPTY: Aggregate = Aggregate {
+        total_msgs: 0,
+        all_halted: true,
+    };
+
+    /// Fold one worker's contribution into this aggregate — the barrier
+    /// reduction, shared by [`SyncPoint::arrive`] and the TCP coordinator.
+    pub fn absorb(self, c: Contribution) -> Aggregate {
+        Aggregate {
+            total_msgs: self.total_msgs + c.msgs_sent,
+            all_halted: self.all_halted && c.all_halted,
+        }
+    }
+
     /// BSP termination rule: stop when nobody sent anything and everyone
     /// voted to halt.
     pub fn should_stop(&self) -> bool {
@@ -35,17 +51,17 @@ impl Aggregate {
     }
 }
 
-/// Panic message used when a barrier is poisoned by a dying peer. The
-/// executor's recovery loop treats panics carrying this text as *cascade*
-/// failures (secondary deaths caused by the primary one) and prefers the
-/// original panic when re-surfacing errors.
+/// Panic message used when a barrier is poisoned by a dying peer. The job
+/// driver treats panics carrying this text as *cascade* failures
+/// (secondary deaths caused by the primary one; see [`payload_is_cascade`])
+/// and names the original panic when re-surfacing errors.
 pub(crate) const POISON_MSG: &str = "sync point poisoned: a peer worker died";
 
 struct State {
     arrived: usize,
     generation: u64,
-    msgs: u64,
-    halted: bool,
+    /// This round's contributions folded so far.
+    acc: Aggregate,
     poisoned: bool,
     result: Aggregate,
 }
@@ -66,10 +82,9 @@ impl SyncPoint {
             state: Mutex::new(State {
                 arrived: 0,
                 generation: 0,
-                msgs: 0,
-                halted: true,
+                acc: Aggregate::EMPTY,
                 poisoned: false,
-                result: Aggregate::default(),
+                result: Aggregate::EMPTY,
             }),
             cv: Condvar::new(),
         }
@@ -91,17 +106,11 @@ impl SyncPoint {
             drop(s);
             panic!("{POISON_MSG}");
         }
-        s.msgs += c.msgs_sent;
-        s.halted &= c.all_halted;
+        s.acc = s.acc.absorb(c);
         s.arrived += 1;
         if s.arrived == self.n {
-            s.result = Aggregate {
-                total_msgs: s.msgs,
-                all_halted: s.halted,
-            };
+            s.result = std::mem::replace(&mut s.acc, Aggregate::EMPTY);
             s.arrived = 0;
-            s.msgs = 0;
-            s.halted = true;
             s.generation += 1;
             self.cv.notify_all();
             s.result
@@ -163,14 +172,27 @@ pub fn join_partition<T>(partition: usize, joined: std::thread::Result<T>) -> T 
     match joined {
         Ok(v) => v,
         Err(payload) => {
-            let msg = payload
-                .downcast_ref::<&'static str>()
-                .map(|s| (*s).to_string())
-                .or_else(|| payload.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "non-string panic payload".to_string());
+            let msg = panic_message(payload.as_ref());
             panic!("worker for partition {partition} panicked: {msg}");
         }
     }
+}
+
+/// The text of a panic payload (`panic!` carries a `String` or a
+/// `&'static str`), or a placeholder for any other payload type.
+pub(crate) fn panic_message(payload: &(dyn Any + Send)) -> &str {
+    payload
+        .downcast_ref::<String>()
+        .map(String::as_str)
+        .or_else(|| payload.downcast_ref::<&'static str>().copied())
+        .unwrap_or("non-string panic payload")
+}
+
+/// True when a panic payload is a *cascade* failure — a worker that died
+/// only because a peer died first (poisoned barrier or closed channel).
+/// The driver names the primary death, never a cascade.
+pub(crate) fn payload_is_cascade(payload: &(dyn Any + Send)) -> bool {
+    panic_message(payload).contains("a peer worker died")
 }
 
 #[cfg(test)]
@@ -194,6 +216,51 @@ mod tests {
             all_halted: true,
         });
         assert!(agg2.should_stop());
+    }
+
+    #[test]
+    fn contributions_fold_like_the_sync_point() {
+        let agg = Aggregate::EMPTY
+            .absorb(Contribution {
+                msgs_sent: 2,
+                all_halted: true,
+            })
+            .absorb(Contribution {
+                msgs_sent: 5,
+                all_halted: false,
+            });
+        assert_eq!(agg.total_msgs, 7);
+        assert!(!agg.all_halted);
+        let agg = Aggregate::EMPTY.absorb(Contribution {
+            msgs_sent: 0,
+            all_halted: true,
+        });
+        assert!(agg.should_stop());
+        // The barrier folds the same way.
+        let sp = SyncPoint::new(1);
+        assert_eq!(
+            sp.arrive(Contribution {
+                msgs_sent: 7,
+                all_halted: false
+            }),
+            Aggregate::EMPTY.absorb(Contribution {
+                msgs_sent: 7,
+                all_halted: false
+            })
+        );
+    }
+
+    #[test]
+    fn panic_payloads_decode_to_their_text() {
+        let owned: Box<dyn Any + Send> = Box::new(String::from("owned"));
+        let fixed: Box<dyn Any + Send> = Box::new("static");
+        let other: Box<dyn Any + Send> = Box::new(7u8);
+        assert_eq!(panic_message(owned.as_ref()), "owned");
+        assert_eq!(panic_message(fixed.as_ref()), "static");
+        assert_eq!(panic_message(other.as_ref()), "non-string panic payload");
+        let cascade: Box<dyn Any + Send> = Box::new(POISON_MSG);
+        assert!(payload_is_cascade(cascade.as_ref()));
+        assert!(!payload_is_cascade(owned.as_ref()));
     }
 
     #[test]

@@ -9,14 +9,18 @@
 //!
 //! * [`InProcess`] — today's simulated cluster: crossbeam channels between
 //!   worker threads and a shared [`SyncPoint`] barrier. Zero behaviour
-//!   change from the pre-trait engine; [`crate::run_job`] uses it.
+//!   change from the pre-trait engine; [`Cluster::InProcess`] runs on it.
 //! * [`Tcp`] — a real cluster over loopback/LAN TCP: one full-duplex
 //!   framed connection per unordered worker pair (see [`crate::net`] for
 //!   the frame layout), plus one control connection per worker to a
 //!   coordinator that serves barriers by folding [`Contribution`] frames
-//!   into [`Aggregate`] broadcasts. [`run_job_tcp`] drives it with workers
-//!   as in-process threads ([`Cluster::Threads`]) or as real spawned worker
-//!   processes ([`Cluster::Processes`], the `tempograph worker` binary).
+//!   into [`Aggregate`] broadcasts. Workers are in-process threads
+//!   ([`Cluster::Threads`]) or real spawned worker processes
+//!   ([`Cluster::Processes`], the `tempograph worker` binary).
+//!
+//! [`run_job_tcp`] is the one job driver for all three clusters: one
+//! epoch runner per [`Cluster`] reports how an epoch ended, and the driver
+//! decides recovery and assembles the result in one place.
 //!
 //! **Why both transports produce byte-identical results.** Delivery order
 //! is canonicalised *after* transport: staged runs are merged by the
@@ -36,16 +40,17 @@
 //! contiguously cover the watermark. See [`crate::FrameFault`] for the
 //! injectable fault kinds.
 //!
-//! **Failure attribution.** A worker that observes a dead peer reports the
-//! peer's partition to the coordinator in an Abort frame before unwinding;
-//! the coordinator broadcasts the abort, reaps everyone, and surfaces a
-//! typed [`EngineError::RemoteWorkerDied`] naming the *primary* death —
-//! never the cascade. With checkpointing armed and an *injected* death
-//! (the fault plan's panic events, or a killed worker process), the
-//! coordinator instead relaunches the epoch from the latest committed
-//! checkpoint, exactly like [`crate::run_job`]'s in-process recovery.
+//! **Failure attribution.** A TCP worker that observes a dead peer reports
+//! the peer's partition to the coordinator in an Abort frame before
+//! unwinding; the coordinator broadcasts the abort and reaps everyone. An
+//! in-process worker's death poisons the shared barrier, and its peers die
+//! as cascades. On every cluster the driver surfaces a typed
+//! [`EngineError::RemoteWorkerDied`] naming the *primary* death — never
+//! the cascade. With checkpointing armed and an *injected* death (the
+//! fault plan's panic events, or a killed worker process), it instead
+//! relaunches the epoch from the latest committed checkpoint.
 
-use crate::checkpoint::{self, CheckpointConfig};
+use crate::checkpoint;
 use crate::error::{EngineError, WireError};
 use crate::executor::{
     assemble_job_result, effective_timesteps, run_worker_body, JobConfig, WorkerOutput,
@@ -59,7 +64,9 @@ use crate::net::{
 };
 use crate::program::SubgraphProgram;
 use crate::provider::InstanceSource;
-use crate::sync::{Aggregate, Contribution, SyncPoint};
+use crate::sync::{
+    panic_message, payload_is_cascade, Aggregate, Contribution, PoisonOnPanic, SyncPoint,
+};
 use crate::wire::WireMsg;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -906,18 +913,6 @@ fn get_metrics(buf: &mut Bytes) -> Result<TimestepMetrics, EngineError> {
 
 // ---- worker side ---------------------------------------------------------
 
-fn payload_message(payload: &(dyn std::any::Any + Send)) -> String {
-    payload
-        .downcast_ref::<String>()
-        .cloned()
-        .or_else(|| {
-            payload
-                .downcast_ref::<&'static str>()
-                .map(|s| s.to_string())
-        })
-        .unwrap_or_else(|| "non-string panic payload".to_string())
-}
-
 /// One TCP worker, start to finish: handshake with the coordinator, build
 /// the peer mesh, run the TI-BSP loop over the [`Tcp`] transport, ship the
 /// results back. On a peer death observed first-hand, reports the dead
@@ -937,10 +932,6 @@ where
     P: SubgraphProgram,
     F: Fn(&Subgraph, &PartitionedGraph) -> P + Send + Sync,
 {
-    assert!(
-        !config.temporal_parallelism,
-        "temporal parallelism is not supported over the TCP transport"
-    );
     let listener = TcpListener::bind("127.0.0.1:0")
         .map_err(net_error("binding the peer-mesh listener".into()))?;
     let listen_addr = listener
@@ -1053,7 +1044,7 @@ where
 /// Worker-process entry point (the `tempograph worker` subcommand). Runs
 /// [`tcp_worker`] on a joinable thread so an injected panic can be mapped
 /// to [`INJECTED_EXIT_CODE`] — the cross-process substitute for the panic
-/// payload the in-process driver inspects. Returns the process exit code.
+/// payload an in-process epoch inspects. Returns the process exit code.
 pub fn run_tcp_worker<P, F>(
     coordinator: String,
     partition: u16,
@@ -1067,7 +1058,7 @@ where
     F: Fn(&Subgraph, &PartitionedGraph) -> P + Send + Sync + 'static,
 {
     let handle = std::thread::spawn(move || {
-        let timesteps = effective_timesteps(&config, source.num_timesteps());
+        let timesteps = effective_timesteps(&config, source.num_timesteps())?;
         tcp_worker::<P, F>(
             &coordinator,
             partition,
@@ -1090,7 +1081,7 @@ where
             } else {
                 eprintln!(
                     "worker for partition {partition} panicked: {}",
-                    payload_message(payload.as_ref())
+                    panic_message(payload.as_ref())
                 );
                 101
             }
@@ -1102,6 +1093,12 @@ where
 
 /// How [`run_job_tcp`] hosts its workers.
 pub enum Cluster {
+    /// Workers are scoped threads in this process, exchanging batches over
+    /// crossbeam channels ([`InProcess`]) and meeting at a shared
+    /// [`SyncPoint`] — the simulated cluster [`crate::run_job`] runs on.
+    /// Binds no socket and serves no status board; worker outputs carry
+    /// their trace, metrics and attribution straight back.
+    InProcess,
     /// Workers are threads in this process dialing the coordinator over
     /// loopback TCP — every frame really crosses a socket, no process
     /// boundary. The default for tests: fast, and panic payloads stay
@@ -1139,13 +1136,6 @@ enum EpochEnd {
         injected: bool,
         typed: Option<EngineError>,
     },
-}
-
-fn fold_contributions(contribs: &[Contribution]) -> Aggregate {
-    Aggregate {
-        total_msgs: contribs.iter().map(|c| c.msgs_sent).sum(),
-        all_halted: contribs.iter().all(|c| c.all_halted),
-    }
 }
 
 /// Broadcast an Abort naming the primary death to every live worker
@@ -1187,7 +1177,7 @@ struct PartTelemetry {
 /// during [`serve_epoch`], keeps the live status board, judges stragglers
 /// over complete barrier rounds, and grafts the accumulated observability
 /// back onto the epoch's outputs so [`assemble_job_result`] sees exactly
-/// what the in-process driver would have.
+/// what an in-process epoch hands back.
 pub(crate) struct CoordTelemetry {
     parts: Vec<PartTelemetry>,
     /// Straggler threshold (multiple of the round's median barrier wait).
@@ -1218,8 +1208,8 @@ impl CoordTelemetry {
     /// Discard a failed epoch's accumulation. The relaunched workers
     /// re-record events from the restore point and re-send cumulative
     /// snapshots, so keeping the dead epoch's state would double count —
-    /// this mirrors the in-process driver, whose result only carries the
-    /// final successful attempt's sinks and shards.
+    /// this mirrors an in-process run, whose result only carries the final
+    /// successful attempt's sinks and shards.
     fn reset(&mut self, epoch: u32) {
         for part in &mut self.parts {
             part.events.clear();
@@ -1545,7 +1535,7 @@ fn serve_epoch(
     }
     let mut outputs: Vec<Option<WorkerEssentials>> = (0..k).map(|_| None).collect();
     loop {
-        let mut contribs: Vec<Contribution> = Vec::with_capacity(k);
+        let mut agg = Aggregate::EMPTY;
         let mut outputs_this_round = 0usize;
         for p in 0..k {
             // Telemetry frames interleave with the barrier protocol on the
@@ -1582,7 +1572,7 @@ fn serve_epoch(
                 }
             };
             match frame.kind {
-                FrameKind::Contribution => contribs.push(decode_payload(frame.payload)?),
+                FrameKind::Contribution => agg = agg.absorb(decode_payload(frame.payload)?),
                 FrameKind::Output => {
                     outputs[p] = Some(WorkerEssentials::decode(frame.payload)?);
                     outputs_this_round += 1;
@@ -1616,7 +1606,7 @@ fn serve_epoch(
                 detail: "workers disagree on the barrier schedule".into(),
             });
         }
-        let agg = encode_payload(&fold_contributions(&contribs));
+        let agg = encode_payload(&agg);
         for p in 0..k {
             let conn = conns[p].as_mut().expect("all workers connected");
             if let Err(e) = conn.send(&Frame::control(
@@ -1628,6 +1618,104 @@ fn serve_epoch(
                 return Ok(Err(abort_cluster(&mut conns, p as u16, e.to_string())));
             }
         }
+    }
+}
+
+/// One epoch on the in-process cluster: k scoped worker threads joined by
+/// crossbeam channels and one [`SyncPoint`] barrier. A dying worker
+/// poisons the barrier so its peers fail fast as cascades. A typed worker
+/// error wins over any panic, because it is deterministic; otherwise the
+/// primary death is the lowest-numbered non-cascade panic.
+#[allow(clippy::too_many_arguments)]
+fn run_epoch_inprocess<P, F>(
+    k: usize,
+    resume_from: Option<u64>,
+    pg: &Arc<PartitionedGraph>,
+    source: &InstanceSource,
+    factory: &F,
+    config: &JobConfig<P::Msg>,
+    timesteps: usize,
+) -> EpochEnd
+where
+    P: SubgraphProgram,
+    F: Fn(&Subgraph, &PartitionedGraph) -> P + Send + Sync,
+{
+    let sync = SyncPoint::new(k);
+    let (txs, rxs): (Vec<_>, Vec<_>) = (0..k).map(|_| unbounded()).unzip();
+    let results: Vec<std::thread::Result<Result<WorkerOutput, EngineError>>> =
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = rxs
+                .into_iter()
+                .enumerate()
+                .map(|(p, rx)| {
+                    let txs = txs.clone();
+                    let sync = &sync;
+                    // Per-thread clones: `Msg` is Send + Clone but not
+                    // necessarily Sync.
+                    let config = config.clone();
+                    let source = source.clone();
+                    scope.spawn(move || {
+                        // If this worker dies, poison the barrier so peers
+                        // fail fast (as cascades) instead of deadlocking.
+                        let _poison = PoisonOnPanic(sync);
+                        let mut transport = InProcess::new(p as u16, rx, txs, sync);
+                        let out = run_worker_body::<P, F>(
+                            p as u16,
+                            pg,
+                            &source,
+                            factory,
+                            &config,
+                            timesteps,
+                            resume_from,
+                            &mut transport,
+                        );
+                        if out.is_err() {
+                            // An error return unwinds no stack, so the RAII
+                            // guard won't fire — poison explicitly.
+                            sync.poison();
+                        }
+                        out
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join()).collect()
+        });
+
+    let mut outputs = Vec::with_capacity(k);
+    let mut typed = None;
+    let mut panics = Vec::new();
+    for (p, r) in results.into_iter().enumerate() {
+        match r {
+            Ok(Ok(out)) => outputs.push(out),
+            Ok(Err(e)) => {
+                typed.get_or_insert((p, e));
+            }
+            Err(payload) => panics.push((p, payload)),
+        }
+    }
+    if let Some((p, e)) = typed {
+        return EpochEnd::Died {
+            partition: p as u16,
+            detail: e.to_string(),
+            injected: false,
+            typed: Some(e),
+        };
+    }
+    let injected = panics.iter().any(|(_, e)| payload_is_injected(e.as_ref()));
+    match panics
+        .into_iter()
+        .min_by_key(|(p, e)| (payload_is_cascade(e.as_ref()), *p))
+    {
+        Some((p, payload)) => EpochEnd::Died {
+            partition: p as u16,
+            detail: format!(
+                "worker thread panicked: {}",
+                panic_message(payload.as_ref())
+            ),
+            injected,
+            typed: None,
+        },
+        None => EpochEnd::Done(outputs),
     }
 }
 
@@ -1652,7 +1740,7 @@ where
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..k)
             .map(|p| {
-                // Per-thread clones, as in `run_job`: `Msg` is Send + Clone
+                // Per-thread clones, as in `run_epoch_inprocess`: `Msg` is Send + Clone
                 // but not necessarily Sync.
                 let config = config.clone();
                 let source = source.clone();
@@ -1701,7 +1789,7 @@ where
                         Err(payload) => (
                             payload_is_injected(payload.as_ref()),
                             None,
-                            format!("{} ({})", death.detail, payload_message(payload.as_ref())),
+                            format!("{} ({})", death.detail, panic_message(payload.as_ref())),
                         ),
                         // A typed error is deterministic: a relaunch would
                         // hit it again, so it is re-surfaced verbatim.
@@ -1826,21 +1914,28 @@ fn run_epoch_processes(
     }
 }
 
-/// Run a TI-BSP job over real TCP: workers exchange batches over a
-/// loopback socket mesh and synchronise through a coordinator (this
-/// function), which also recovers worker deaths from checkpoints. Returns
-/// a typed error naming the failing partition instead of panicking —
-/// unlike [`crate::run_job`], whose in-process driver re-raises worker
-/// panics.
+/// Run a TI-BSP job on `cluster` and gather its results and metrics — the
+/// one job driver for every cluster. Each epoch runs the whole cluster
+/// until every worker reports or one dies; an *injected* death (a fault
+/// plan panic event, or a killed worker process) with checkpointing armed
+/// relaunches the epoch from the latest committed checkpoint. Anything
+/// else fails the job with a typed error naming the partition: a worker's
+/// own typed error verbatim, otherwise
+/// [`EngineError::RemoteWorkerDied`] for the primary death, never a
+/// cascade.
 ///
-/// With any of trace/metrics/attribution armed, workers ship their
-/// observability over the telemetry plane (one Telemetry frame per barrier
-/// round plus a final flush) and the returned [`JobResult`] carries the
-/// same trace, registry, and attribution a [`crate::run_job`] run would —
-/// see `tests/transport_equivalence.rs`. With [`JobConfig::status_addr`]
-/// set, the coordinator additionally serves the live status board (the
+/// Recoveries are bounded by the fault plan's panic events (each recovery
+/// consumes one), at least 1 for [`Cluster::Processes`] (a worker process
+/// can also be killed from outside), and 0 without checkpointing.
+///
+/// Over sockets, with any of trace/metrics/attribution armed, workers ship
+/// their observability over the telemetry plane (one Telemetry frame per
+/// barrier round plus a final flush), so the returned [`JobResult`] carries
+/// the same trace, registry, and attribution on every cluster — see
+/// `tests/transport_equivalence.rs`. With [`JobConfig::status_addr`] set,
+/// a socket cluster's coordinator also serves the live status board (the
 /// `tempograph status` view) for the life of the job. Temporal parallelism
-/// is not supported over TCP.
+/// needs [`Cluster::InProcess`].
 pub fn run_job_tcp<P, F>(
     pg: &Arc<PartitionedGraph>,
     source: &InstanceSource,
@@ -1853,50 +1948,63 @@ where
     F: Fn(&Subgraph, &PartitionedGraph) -> P + Send + Sync,
 {
     let k = pg.num_partitions();
-    assert!(
-        !config.temporal_parallelism,
-        "temporal parallelism is not supported over the TCP transport"
-    );
-    let timesteps = effective_timesteps(&config, source.num_timesteps());
-    let listener = TcpListener::bind("127.0.0.1:0")
-        .map_err(net_error("binding the coordinator listener".into()))?;
-    let coord_addr = listener
-        .local_addr()
-        .map_err(net_error("resolving the coordinator address".into()))?
-        .to_string();
+    if config.temporal_parallelism && !matches!(cluster, Cluster::InProcess) {
+        return Err(EngineError::Config {
+            detail: "temporal parallelism needs the in-process cluster".into(),
+        });
+    }
+    let timesteps = effective_timesteps(&config, source.num_timesteps())?;
+    // Socket clusters serve every epoch from one coordinator listener.
+    let coordinator = match cluster {
+        Cluster::InProcess => None,
+        Cluster::Threads | Cluster::Processes { .. } => {
+            let listener = TcpListener::bind("127.0.0.1:0")
+                .map_err(net_error("binding the coordinator listener".into()))?;
+            let addr = listener
+                .local_addr()
+                .map_err(net_error("resolving the coordinator address".into()))?
+                .to_string();
+            Some((listener, addr))
+        }
+    };
     let job_start = Clock::start();
     let panic_budget = config.faults.as_ref().map_or(0, |f| f.panic_events());
-    // Threads can only die by injected panic; processes can additionally be
-    // killed from outside (the worker-kill drill), so grant at least one
-    // recovery whenever checkpointing is armed.
-    let max_recoveries = if config.checkpoint.is_some() {
-        match &cluster {
-            Cluster::Threads => panic_budget,
-            Cluster::Processes { .. } => panic_budget.max(1),
-        }
-    } else {
-        0
+    let max_recoveries = match (&config.checkpoint, &cluster) {
+        (None, _) => 0,
+        (Some(_), Cluster::Processes { .. }) => panic_budget.max(1),
+        (Some(_), _) => panic_budget,
     };
     let mut recoveries = 0usize;
     let mut resume_from: Option<u64> = None;
     let mut epoch = 0u32;
     // Coordinator-side telemetry accumulation — armed by exactly the same
-    // predicate the workers use, so a Telemetry frame arriving while this
-    // is `None` is a protocol violation, not a silent drop.
-    let telemetry_armed = config.trace.is_some() || config.metrics || config.attribution;
+    // predicate the socket workers use, so a Telemetry frame arriving while
+    // this is `None` is a protocol violation, not a silent drop. In-process
+    // workers hand their observability back directly.
+    let telemetry_armed =
+        coordinator.is_some() && (config.trace.is_some() || config.metrics || config.attribution);
     let mut telem = telemetry_armed.then(|| CoordTelemetry::new(k, config.straggler_factor));
     // Driver-side sink (its own track, after the k partition tracks) for
-    // recovery markers, mirroring the in-process driver.
+    // recovery markers.
     let mut driver_sink = config.trace.map(|tc| tc.sink(k as u32));
     let _status_server = match (&config.status_addr, &telem) {
         (Some(addr), Some(ct)) => Some(StatusServer::spawn(addr, ct.board.clone())?),
         _ => None,
     };
     loop {
-        let end = match &cluster {
-            Cluster::Threads => run_epoch_threads::<P, F>(
-                &listener,
-                &coord_addr,
+        let end = match (&cluster, &coordinator) {
+            (Cluster::InProcess, _) => run_epoch_inprocess::<P, F>(
+                k,
+                resume_from,
+                pg,
+                source,
+                &factory,
+                &config,
+                timesteps,
+            ),
+            (Cluster::Threads, Some((listener, coord_addr))) => run_epoch_threads::<P, F>(
+                listener,
+                coord_addr,
                 k,
                 epoch,
                 resume_from,
@@ -1907,12 +2015,15 @@ where
                 timesteps,
                 telem.as_mut(),
             )?,
-            Cluster::Processes {
-                worker_bin,
-                worker_args,
-            } => run_epoch_processes(
-                &listener,
-                &coord_addr,
+            (
+                Cluster::Processes {
+                    worker_bin,
+                    worker_args,
+                },
+                Some((listener, coord_addr)),
+            ) => run_epoch_processes(
+                listener,
+                coord_addr,
                 k,
                 epoch,
                 resume_from,
@@ -1921,6 +2032,7 @@ where
                 config.faults.as_deref(),
                 telem.as_mut(),
             )?,
+            (_, None) => unreachable!("socket clusters bind a coordinator listener"),
         };
         match end {
             EpochEnd::Done(mut outputs) => {
@@ -1954,18 +2066,23 @@ where
                 injected,
                 typed,
             } => {
+                // A typed worker error is deterministic: a relaunch would
+                // hit it again, so it is surfaced verbatim.
                 if let Some(e) = typed {
                     return Err(e);
                 }
-                if config.checkpoint.is_none() || !injected || recoveries >= max_recoveries {
+                // Recover only from *injected* deaths with a recovery to
+                // spend: a real bug would re-trigger after restore.
+                if !injected || recoveries >= max_recoveries {
                     return Err(EngineError::RemoteWorkerDied { partition, detail });
                 }
                 recoveries += 1;
                 epoch += 1;
                 if matches!(cluster, Cluster::Processes { .. }) {
-                    // The dead process took its latched fault state with it;
-                    // latch the event it fired in the coordinator's copy so
-                    // the next epoch's StartMsg ships it as already-fired.
+                    // The dead process took its latched fault state with
+                    // it; latch the event it fired in the coordinator's
+                    // copy so the next epoch's StartMsg ships it as
+                    // already-fired.
                     if let Some(faults) = &config.faults {
                         faults.attribute_death(partition);
                     }
@@ -1973,9 +2090,7 @@ where
                 resume_from = config
                     .checkpoint
                     .as_ref()
-                    .and_then(|ck: &CheckpointConfig| {
-                        checkpoint::latest_valid::<P::Msg>(&ck.dir, k as u16)
-                    });
+                    .and_then(|ck| checkpoint::latest_valid::<P::Msg>(&ck.dir, k as u16));
                 if let Some(ct) = telem.as_mut() {
                     ct.reset(epoch);
                 }
@@ -2024,27 +2139,6 @@ mod tests {
         assert_eq!(agg.total_msgs, 3);
         assert!(agg.all_halted);
         t.barrier().unwrap();
-    }
-
-    #[test]
-    fn contributions_fold_like_the_sync_point() {
-        let agg = fold_contributions(&[
-            Contribution {
-                msgs_sent: 2,
-                all_halted: true,
-            },
-            Contribution {
-                msgs_sent: 5,
-                all_halted: false,
-            },
-        ]);
-        assert_eq!(agg.total_msgs, 7);
-        assert!(!agg.all_halted);
-        let agg = fold_contributions(&[Contribution {
-            msgs_sent: 0,
-            all_halted: true,
-        }]);
-        assert!(agg.should_stop());
     }
 
     #[test]

@@ -99,6 +99,8 @@ USAGE:
       `tempograph status` (implies --observe); --straggler-factor (or
       env TEMPOGRAPH_STRAGGLER_FACTOR, default 4.0) tunes how many
       multiples of the median barrier wait flag a straggler.
+      Every transport fails a job the same way: `error: <transport> job
+      failed: ...` and exit code 1.
       ALGO: tdsp | meme | hash | sssp | bfs | wcc | pagerank | topn | stats
 
   tempograph status    --addr HOST:PORT
@@ -587,9 +589,11 @@ impl JobTuning {
         let checkpoint = match (opts.get("checkpoint-dir"), opts.get("checkpoint-every")) {
             (Some(dir), every) => Some((
                 every
-                    .map(|v| {
-                        v.parse()
-                            .map_err(|_| format!("invalid value for --checkpoint-every: `{v}`"))
+                    .map(|v| match v.parse() {
+                        Ok(n) if n >= 1 => Ok(n),
+                        _ => Err(format!(
+                            "--checkpoint-every must be an integer >= 1, got `{v}`"
+                        )),
                     })
                     .transpose()?
                     .unwrap_or(1),
@@ -651,7 +655,7 @@ impl JobTuning {
     }
 }
 
-/// How to execute one (factory, config) pair: locally, over a TCP
+/// How to execute one (factory, config) pair: as a whole job on a
 /// cluster, or as one TCP worker. Lets [`dispatch_algo`] own the
 /// algo-name → (program, pattern) table once, while each caller supplies
 /// the execution mode — the table is the single point that guarantees a
@@ -664,38 +668,26 @@ trait AlgoRunner {
         F: Fn(&Subgraph, &PartitionedGraph) -> P + Send + Sync + 'static;
 }
 
-/// The in-process simulated cluster (`run_job`).
-struct LocalRunner<'a> {
-    pg: &'a Arc<PartitionedGraph>,
-    src: &'a InstanceSource,
-}
-
-impl AlgoRunner for LocalRunner<'_> {
-    type Out = JobResult;
-    fn run<P, F>(self, factory: F, config: JobConfig<P::Msg>) -> JobResult
-    where
-        P: SubgraphProgram,
-        F: Fn(&Subgraph, &PartitionedGraph) -> P + Send + Sync + 'static,
-    {
-        run_job(self.pg, self.src, factory, config)
-    }
-}
-
-/// A TCP cluster (`run_job_tcp`), threads or spawned worker processes.
-struct TcpRunner<'a> {
+/// A whole job on one cluster (`run_job_tcp`): in-process threads, TCP
+/// worker threads or spawned worker processes. Every cluster fails the
+/// same way: `<transport> job failed: <typed error>`.
+struct ClusterRunner<'a> {
     pg: &'a Arc<PartitionedGraph>,
     src: &'a InstanceSource,
     cluster: Cluster,
+    /// The `--transport` name, for the failure message.
+    transport: &'a str,
 }
 
-impl AlgoRunner for TcpRunner<'_> {
-    type Out = Result<JobResult, EngineError>;
+impl AlgoRunner for ClusterRunner<'_> {
+    type Out = Result<JobResult, String>;
     fn run<P, F>(self, factory: F, config: JobConfig<P::Msg>) -> Self::Out
     where
         P: SubgraphProgram,
         F: Fn(&Subgraph, &PartitionedGraph) -> P + Send + Sync + 'static,
     {
         run_job_tcp(self.pg, self.src, factory, config, self.cluster)
+            .map_err(|e| format!("{} job failed: {e}", self.transport))
     }
 }
 
@@ -877,6 +869,7 @@ fn cmd_status(opts: &HashMap<String, String>) -> Result<(), String> {
 fn cmd_run(opts: &HashMap<String, String>) -> Result<(), String> {
     let dir = opts.get("data").ok_or("--data DIR is required")?;
     let algo = opts.get("algo").ok_or("--algo is required")?;
+    let tuning = JobTuning::from_opts(opts)?;
     let store = GofsStore::open(dir).map_err(|e| e.to_string())?;
     let t = store.template().clone();
     let pg = Arc::new(store.partitioned_graph());
@@ -885,38 +878,11 @@ fn cmd_run(opts: &HashMap<String, String>) -> Result<(), String> {
     let source = VertexIdx(parse(opts, "source", 0u32)?);
     let meme = opt(opts, "meme", "#meme").to_string();
     let src = InstanceSource::Gofs(dir.into());
-    let tuning = JobTuning::from_opts(opts)?;
     let transport = opt(opts, "transport", "inprocess");
 
-    println!(
-        "running {algo} over {timesteps} timesteps on {} partitions ({transport})…",
-        pg.num_partitions()
-    );
-    let started = Clock::start();
-    let result = match transport {
-        "inprocess" => dispatch_algo(
-            algo,
-            &t,
-            timesteps,
-            source,
-            meme,
-            &tuning,
-            LocalRunner { pg: &pg, src: &src },
-        )?,
-        "tcp" => dispatch_algo(
-            algo,
-            &t,
-            timesteps,
-            source,
-            meme,
-            &tuning,
-            TcpRunner {
-                pg: &pg,
-                src: &src,
-                cluster: Cluster::Threads,
-            },
-        )?
-        .map_err(|e| format!("tcp job failed: {e}"))?,
+    let cluster = match transport {
+        "inprocess" => Cluster::InProcess,
+        "tcp" => Cluster::Threads,
         "tcp-process" => {
             let worker_bin = std::env::current_exe().map_err(|e| e.to_string())?;
             // Mirror every job-shaping flag so workers rebuild the
@@ -952,23 +918,10 @@ fn cmd_run(opts: &HashMap<String, String>) -> Result<(), String> {
             if let Some(spec) = &tuning.fault_spec {
                 worker_args.extend(["--faults".into(), spec.clone()]);
             }
-            dispatch_algo(
-                algo,
-                &t,
-                timesteps,
-                source,
-                meme,
-                &tuning,
-                TcpRunner {
-                    pg: &pg,
-                    src: &src,
-                    cluster: Cluster::Processes {
-                        worker_bin,
-                        worker_args,
-                    },
-                },
-            )?
-            .map_err(|e| format!("tcp-process job failed: {e}"))?
+            Cluster::Processes {
+                worker_bin,
+                worker_args,
+            }
         }
         other => {
             return Err(format!(
@@ -976,6 +929,19 @@ fn cmd_run(opts: &HashMap<String, String>) -> Result<(), String> {
             ))
         }
     };
+
+    println!(
+        "running {algo} over {timesteps} timesteps on {} partitions ({transport})…",
+        pg.num_partitions()
+    );
+    let started = Clock::start();
+    let runner = ClusterRunner {
+        pg: &pg,
+        src: &src,
+        cluster,
+        transport,
+    };
+    let result = dispatch_algo(algo, &t, timesteps, source, meme, &tuning, runner)??;
     let elapsed = started.elapsed();
 
     println!(

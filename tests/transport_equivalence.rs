@@ -16,7 +16,7 @@
 use bytes::BufMut;
 use std::collections::BTreeMap;
 use std::sync::Arc;
-use tempograph::engine::{Context, Envelope};
+use tempograph::engine::{Context, Envelope, WireError, WireMsg};
 use tempograph::metrics::Metric;
 use tempograph::prelude::*;
 use tempograph::trace::TraceEvent;
@@ -733,5 +733,170 @@ fn disabled_observability_ships_no_telemetry() {
     assert!(
         tcp.attribution.is_none(),
         "unexpected attribution on a disabled run"
+    );
+}
+
+// ---------------------------------------------------------------------------
+// Failure equivalence: one driver decides how every cluster fails, so the
+// same broken job fails with the same typed error on each of them.
+// ---------------------------------------------------------------------------
+
+/// A message whose decode always fails: any batch that crosses a
+/// partition boundary is undeliverable.
+#[derive(Clone)]
+struct Undecodable;
+
+impl WireMsg for Undecodable {
+    fn encode(&self, buf: &mut bytes::BytesMut) {
+        buf.put_u8(0);
+    }
+    fn decode(_buf: &mut bytes::Bytes) -> Result<Self, WireError> {
+        Err(WireError::BadTag {
+            context: "Undecodable",
+            tag: 0,
+        })
+    }
+}
+
+/// At superstep 0, every subgraph outside the target's partition sends
+/// one message to `target`, so exactly one worker (the target's) has
+/// remote messages to decode, and fails.
+struct SendToOne {
+    target: Option<SubgraphId>,
+}
+
+impl SubgraphProgram for SendToOne {
+    type Msg = Undecodable;
+
+    fn compute(&mut self, ctx: &mut Context<'_, Undecodable>, _msgs: &[Envelope<Undecodable>]) {
+        if let Some(target) = self.target.take() {
+            ctx.send_to_subgraph(target, Undecodable);
+        }
+        ctx.vote_to_halt();
+    }
+}
+
+/// A worker's typed error ends the job with that error, equal on the
+/// in-process cluster and the TCP thread cluster — never a panic.
+#[test]
+fn typed_worker_error_is_transport_equivalent() {
+    if !sockets_available() {
+        return;
+    }
+    let (t, src) = road_fixture();
+    let pg = partitioned(&t, 3);
+    let target = pg
+        .subgraphs()
+        .iter()
+        .find(|s| s.partition() == 1)
+        .map(|s| s.id())
+        .expect("partition 1 owns a subgraph");
+    let factory = |sg: &Subgraph, _: &PartitionedGraph| SendToOne {
+        target: (sg.partition() != 1).then_some(target),
+    };
+    let run = |cluster| run_job_tcp(&pg, &src, factory, JobConfig::independent(1), cluster);
+    let local = run(Cluster::InProcess).expect_err("in-process job must fail");
+    let tcp = run(Cluster::Threads).expect_err("tcp job must fail");
+    assert!(matches!(local, EngineError::Wire(_)), "{local}");
+    assert_eq!(local, tcp, "both clusters must fail with the same error");
+}
+
+/// Run the `tempograph` CLI; returns its exit code and stderr.
+fn tempograph_cli(args: &[&str]) -> (Option<i32>, String) {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_tempograph"))
+        .args(args)
+        .output()
+        .expect("spawn the tempograph binary");
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+/// `run` on every transport, against a 3-partition road dataset, with
+/// `extra` flags; asserts each fails with exit code 1 (not a panic's 101)
+/// and an `error:` line containing `expect`.
+fn assert_cli_fails_everywhere(tag: &str, extra: &[&str], expect: &str) {
+    let (t, src) = road_fixture();
+    let InstanceSource::Memory(coll) = &src else {
+        unreachable!()
+    };
+    let (dir, _, _) = gofs_fixture(tag, &t, coll, 3);
+    for transport in ["inprocess", "tcp", "tcp-process"] {
+        let mut args = vec![
+            "run",
+            "--algo",
+            "tdsp",
+            "--data",
+            dir.to_str().unwrap(),
+            "--transport",
+            transport,
+        ];
+        args.extend_from_slice(extra);
+        let (code, stderr) = tempograph_cli(&args);
+        assert_eq!(code, Some(1), "{tag} on {transport}: {stderr}");
+        assert!(
+            stderr.contains(&format!("error: {transport} job failed: ")) && stderr.contains(expect),
+            "{tag} on {transport}: {stderr}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// An injected worker death without checkpointing fails the job the same
+/// way on every transport.
+#[test]
+fn cli_worker_death_fails_alike_on_every_transport() {
+    if !sockets_available() {
+        return;
+    }
+    assert_cli_fails_everywhere(
+        "cli-death",
+        &["--faults", "panic@p1:t2:s0"],
+        "remote worker for partition 1 died",
+    );
+}
+
+/// A checkpoint directory that cannot be created is a typed error on every
+/// transport, not a panic.
+#[test]
+fn cli_bad_checkpoint_dir_fails_alike_on_every_transport() {
+    if !sockets_available() {
+        return;
+    }
+    let file = std::env::temp_dir().join(format!("cli-ckfile-{}", std::process::id()));
+    std::fs::write(&file, b"not a directory").unwrap();
+    let ckdir = file.join("ck");
+    assert_cli_fails_everywhere(
+        "cli-ckdir",
+        &[
+            "--checkpoint-dir",
+            ckdir.to_str().unwrap(),
+            "--checkpoint-every",
+            "2",
+        ],
+        "checkpoint failure",
+    );
+    let _ = std::fs::remove_file(&file);
+}
+
+/// A zero checkpoint interval is a usage error, not a builder panic.
+#[test]
+fn cli_zero_checkpoint_interval_is_an_error() {
+    let (code, stderr) = tempograph_cli(&[
+        "run",
+        "--algo",
+        "tdsp",
+        "--data",
+        "unused",
+        "--checkpoint-dir",
+        "unused",
+        "--checkpoint-every",
+        "0",
+    ]);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(
+        stderr.contains("error: --checkpoint-every must be an integer >= 1"),
+        "{stderr}"
     );
 }
